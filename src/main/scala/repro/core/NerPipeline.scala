@@ -20,10 +20,12 @@ object NerPipeline {
                              unit: String, temp: String, df: String, size: String)
 
   /** Whitespace/punctuation tokenizer used for both training and inference:
-    * commas become their own tokens ("onion," → "onion", ",").
+    * commas become their own tokens ("onion," → "onion", ","). A null
+    * phrase has no tokens.
     */
   def tokenize(phrase: String): IndexedSeq[String] =
-    phrase.replaceAll(",", " , ").split("\\s+").filter(_.nonEmpty).toIndexedSeq
+    if (phrase == null) IndexedSeq.empty
+    else phrase.replaceAll(",", " , ").split("\\s+").filter(_.nonEmpty).toIndexedSeq
 
   /** Turn a tagged token sequence into the Table I columns.
     *

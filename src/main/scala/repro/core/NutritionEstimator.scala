@@ -13,7 +13,9 @@ import repro.nlp.NerModel
   * Matching runs on distinct (name, state, temp, df) tuples — the paper's
   * unit of account ("94.49% of the unique ingredients") — and the result is
   * joined back onto the full corpus, so the expensive token join scales with
-  * vocabulary, not corpus size.
+  * vocabulary, not corpus size. The two reference-sized sides joined onto
+  * the lines (the matched keys and the USDA foods) carry explicit
+  * `broadcast` hints, so the full corpus is never shuffled for them.
   */
 object NutritionEstimator {
 
@@ -41,13 +43,13 @@ object NutritionEstimator {
 
     val withFood = annotated
       .withColumn("ingId", xxhash64(col("name"), col("state"), col("temp"), col("df")))
-      .join(matched, Seq("ingId"), "left")
+      .join(broadcast(matched), Seq("ingId"), "left")
 
     val resolved = UnitMatcher.resolve(withFood, weights)
 
     resolved
-      .join(foods.select(col("ndbId"), col("description"), col("kcal100g"),
-                         col("protein100g"), col("fat100g"), col("carb100g")),
+      .join(broadcast(foods.select(col("ndbId"), col("description"), col("kcal100g"),
+                                   col("protein100g"), col("fat100g"), col("carb100g"))),
             Seq("ndbId"), "left")
       .withColumn("estKcal",    col("grams") * col("kcal100g") / 100.0)
       .withColumn("estProtein", col("grams") * col("protein100g") / 100.0)
@@ -61,7 +63,8 @@ object NutritionEstimator {
     *
     * @return recipeId, servings, nLines, nNameMapped, nFullyMapped,
     *         pctNameMapped, pctFullyMapped, estKcal, estKcalPerServing (and
-    *         protein/fat/carb totals)
+    *         protein/fat/carb totals); estKcalPerServing is null when
+    *         servings is null or not positive
     */
   def perRecipe(perLineDf: DataFrame): DataFrame =
     perLineDf
@@ -77,7 +80,8 @@ object NutritionEstimator {
       )
       .withColumn("pctNameMapped",  col("nNameMapped") * 100.0 / col("nLines"))
       .withColumn("pctFullyMapped", col("nFullyMapped") * 100.0 / col("nLines"))
-      .withColumn("estKcalPerServing", col("estKcal") / col("servings"))
+      .withColumn("estKcalPerServing",
+        when(col("servings") > 0, col("estKcal") / col("servings")))
 
   /** Full pipeline: lines in, per-recipe profiles out. */
   def estimate(lines: DataFrame, model: NerModel,

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Units matching and gram resolution (§II-C).
@@ -13,15 +12,22 @@ import org.apache.spark.sql.functions._
   *     aliases ('tbsp' → tablespoon) via [[UnitTables.standardize]];
   *  2. exact mass units (g/kg/oz/lb) convert directly;
   *  3. look the unit up in the food's USDA gram-weight table;
-  *  4. if absent but volumetric, derive it from any volumetric unit the food
-  *     does list, using the Book-of-Yields volume table (butter has cup=227g,
-  *     so teaspoon = 227 × 4.93/236.59 ≈ 4.73g);
+  *  4. if absent but volumetric, derive it from the first volumetric unit the
+  *     food lists, using the Book-of-Yields volume table (butter has
+  *     tablespoon=14.2g, so teaspoon = 14.2 × 4.93/14.79 ≈ 4.73g);
   *  5. sizes small/medium/large are one equivalent unit ("size");
   *  6. implausible results (> 5 kg for one line, the '500 cups' failure mode)
   *     invalidate the unit;
   *  7. lines still unresolved (missing or invalid unit) fall back to the
   *     ingredient's corpus-wide most-frequent successfully-resolved unit and
-  *     retry steps 2–4.
+  *     retry steps 2–4. The retry applies no 5 kg check.
+  *
+  * The reference side is small (a few gram weights per food), so steps 2–4
+  * are one pure function, [[GramWeights.gramsPerUnit]], over an index
+  * collected on the driver. It reaches the tasks inside the UDF closure,
+  * which Spark broadcasts once per stage as part of the task binary. The
+  * only Spark aggregation left is step 7's per-name mode; its result, one
+  * row per ingredient name, is broadcast-joined back onto the lines.
   */
 object UnitMatcher {
 
@@ -30,65 +36,53 @@ object UnitMatcher {
     */
   val MaxGramsPerLine: Double = 5000.0
 
+  /** USDA gram weights indexed for steps 2–4.
+    *
+    * @param listed          grams per unit of the lowest-seq row of each
+    *                        (ndbId, stdUnit); USDA lists dominant measures first
+    * @param firstVolumetric each food's first-listed volumetric measure:
+    *                        (stdUnit, grams per unit)
+    */
+  final case class GramWeights(listed: Map[(Long, String), Double],
+                               firstVolumetric: Map[Long, (String, Double)]) {
+
+    /** Grams per one `stdUnit` of food `ndbId`: mass unit, else the food's
+      * listed unit, else a volume conversion from its first volumetric unit.
+      */
+    def gramsPerUnit(ndbId: Option[Long], stdUnit: String): Option[Double] =
+      Option(stdUnit).flatMap { unit =>
+        UnitTables.massGrams.get(unit)
+          .orElse(ndbId.flatMap(id => listed.get((id, unit))))
+          .orElse(for {
+            id                <- ndbId
+            (volUnit, volGpa) <- firstVolumetric.get(id)
+            t                 <- UnitTables.volumeMl.get(unit)
+            k                 <- UnitTables.volumeMl.get(volUnit)
+          } yield volGpa * (t / k))
+      }
+  }
+
+  object GramWeights {
+    /** Collect a weight table (ndbId, seq, amount, unit, grams) on the
+      * driver and index it: the resolver's one eager Spark action.
+      */
+    def of(weights: DataFrame): GramWeights = {
+      val rows = weights.select("ndbId", "seq", "unit", "grams", "amount").collect().toSeq
+        .map(r => (r.getLong(0), r.getInt(1), UnitTables.standardize(r.getString(2)),
+                   r.getDouble(3) / r.getDouble(4)))
+        .filter(_._3.nonEmpty)
+        .sortBy(r => (r._1, r._2))
+      val listed = rows.groupBy(r => (r._1, r._3)).map { case (key, rs) => key -> rs.head._4 }
+      val firstVolumetric = rows.filter(r => UnitTables.isVolumetric(r._3)).groupBy(_._1)
+        .map { case (id, rs) => id -> (rs.head._3, rs.head._4) }
+      GramWeights(listed, firstVolumetric)
+    }
+  }
+
   private val qtyUdf = udf { (q: String) => QuantityParser.parse(q) }
-  private val stdUdf = udf { (u: String) => UnitTables.standardize(u) }
-  private val massUdf = udf { (u: String) => Option(u).flatMap(UnitTables.massGrams.get) }
-  private val volRatioUdf = udf { (target: String, known: String) =>
-    for {
-      tu <- Option(target); ku <- Option(known)
-      t  <- UnitTables.volumeMl.get(tu); k <- UnitTables.volumeMl.get(ku)
-    } yield t / k
-  }
-
-  /** USDA weights with standardized units: one row per (ndbId, stdUnit),
-    * keeping the lowest-seq row (USDA lists dominant measures first).
-    */
-  def standardizedWeights(weights: DataFrame): DataFrame = {
-    val w = Window.partitionBy(col("ndbId"), col("stdUnit")).orderBy(col("seq").asc)
-    weights
-      .withColumn("stdUnit", stdUdf(col("unit")))
-      .filter(col("stdUnit") =!= "")
-      .withColumn("gpa", col("grams") / col("amount"))
-      .withColumn("rk", row_number().over(w))
-      .filter(col("rk") === 1)
-      .select("ndbId", "stdUnit", "gpa", "seq")
-  }
-
-  /** First volumetric measure each food lists, for step 4 conversions. */
-  def firstVolumetric(weightsStd: DataFrame): DataFrame = {
-    val isVolUdf = udf { (u: String) => UnitTables.isVolumetric(u) }
-    val w = Window.partitionBy(col("ndbId")).orderBy(col("seq").asc)
-    weightsStd
-      .filter(isVolUdf(col("stdUnit")))
-      .withColumn("rk", row_number().over(w))
-      .filter(col("rk") === 1)
-      .select(col("ndbId"), col("stdUnit").as("volUnit"), col("gpa").as("volGpa"))
-  }
-
-  /** Resolve grams-per-unit for `unitCol` into `outCol` via mass lookup,
-    * USDA weight lookup, then volumetric conversion.
-    */
-  private def lookupGpa(lines: DataFrame, weightsStd: DataFrame, firstVol: DataFrame,
-                        unitCol: String, outCol: String): DataFrame = {
-    val sfx = outCol
-    val wRenamed = weightsStd
-      .select(col("ndbId").as(s"wNdb_$sfx"), col("stdUnit").as(s"wUnit_$sfx"),
-              col("gpa").as(s"wGpa_$sfx"))
-    val vRenamed = firstVol
-      .select(col("ndbId").as(s"vNdb_$sfx"), col("volUnit").as(s"vUnit_$sfx"),
-              col("volGpa").as(s"vGpa_$sfx"))
-    lines
-      .join(wRenamed,
-        col("ndbId") === col(s"wNdb_$sfx") && col(unitCol) === col(s"wUnit_$sfx"), "left")
-      .join(vRenamed, col("ndbId") === col(s"vNdb_$sfx"), "left")
-      .withColumn(outCol,
-        coalesce(
-          massUdf(col(unitCol)),
-          col(s"wGpa_$sfx"),
-          col(s"vGpa_$sfx") * volRatioUdf(col(unitCol), col(s"vUnit_$sfx")),
-        ))
-      .drop(s"wNdb_$sfx", s"wUnit_$sfx", s"wGpa_$sfx",
-            s"vNdb_$sfx", s"vUnit_$sfx", s"vGpa_$sfx")
+  private val stdUnitUdf = udf { (unit: String, size: String) =>
+    val std = UnitTables.standardize(unit)
+    if (std.nonEmpty) std else if (size != null && size.nonEmpty) "size" else ""
   }
 
   /** Full §II-C resolution.
@@ -101,44 +95,36 @@ object UnitMatcher {
     *         unitResolved
     */
   def resolve(lines: DataFrame, weights: DataFrame): DataFrame = {
-    val weightsStd = standardizedWeights(weights)
-    val firstVol   = firstVolumetric(weightsStd)
-
-    val prepared = lines
-      .withColumn("qty", coalesce(qtyUdf(col("quantity")), lit(1.0)))
-      .withColumn("stdUnit",
-        when(stdUdf(col("unit")) =!= "", stdUdf(col("unit")))
-          .when(col("size") =!= "", lit("size"))
-          .otherwise(lit("")))
+    val index = GramWeights.of(weights)
+    val gpaUdf = udf { (ndbId: java.lang.Long, stdUnit: String) =>
+      index.gramsPerUnit(Option(ndbId).map(_.longValue), stdUnit)
+    }
 
     // Pass 1: resolve the detected unit; invalidate implausible results.
-    val p1 = lookupGpa(prepared, weightsStd, firstVol, "stdUnit", "gpa1")
+    val p1 = lines
+      .withColumn("qty", coalesce(qtyUdf(col("quantity")), lit(1.0)))
+      .withColumn("stdUnit", stdUnitUdf(col("unit"), col("size")))
+      .withColumn("gpa1", gpaUdf(col("ndbId"), col("stdUnit")))
       .withColumn("gpa1",
         when(col("qty") * col("gpa1") > MaxGramsPerLine, lit(null)).otherwise(col("gpa1")))
 
-    // Most-frequent successfully-resolved unit per ingredient name.
-    val modeW = Window.partitionBy(col("name")).orderBy(col("cnt").desc, col("stdUnit").asc)
+    // Most-frequent successfully-resolved unit per ingredient name; ties go
+    // to the alphabetically lowest unit.
     val modes = p1
-      .filter(col("gpa1").isNotNull && col("stdUnit") =!= "")
-      .groupBy(col("name"), col("stdUnit")).agg(count(lit(1)).as("cnt"))
-      .withColumn("rk", row_number().over(modeW))
-      .filter(col("rk") === 1)
-      .select(col("name"), col("stdUnit").as("modeUnit"))
+      .filter(col("gpa1").isNotNull)
+      .groupBy(col("name"))
+      .agg(mode(col("stdUnit"), deterministic = true).as("modeUnit"))
 
     // Pass 2: unresolved lines retry with the fallback unit.
-    val p2 = p1
-      .join(modes, Seq("name"), "left")
-      .withColumn("fbUnit", when(col("gpa1").isNull, col("modeUnit")).otherwise(lit(null)))
-    val p3 = lookupGpa(p2, weightsStd, firstVol, "fbUnit", "gpa2")
-
-    p3
-      .withColumn("gramsPerUnit", coalesce(col("gpa1"), col("gpa2")))
+    p1
+      .join(broadcast(modes), Seq("name"), "left")
+      .withColumn("fbUnit", when(col("gpa1").isNull, col("modeUnit")))
+      .withColumn("gramsPerUnit", coalesce(col("gpa1"), gpaUdf(col("ndbId"), col("fbUnit"))))
       .withColumn("resolvedUnit",
         when(col("gpa1").isNotNull, col("stdUnit"))
-          .when(col("gpa2").isNotNull, col("fbUnit"))
-          .otherwise(lit(null)))
+          .when(col("gramsPerUnit").isNotNull, col("fbUnit")))
       .withColumn("grams", col("qty") * col("gramsPerUnit"))
       .withColumn("unitResolved", col("grams").isNotNull)
-      .drop("modeUnit", "fbUnit", "gpa1", "gpa2")
+      .drop("modeUnit", "fbUnit", "gpa1")
   }
 }

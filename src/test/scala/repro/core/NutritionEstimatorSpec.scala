@@ -132,4 +132,35 @@ class NutritionEstimatorSpec extends SparkSpec {
     val beef = out.filter($"lineNo" === 1).collect().head
     assert(Option(beef.getAs[String]("name")).exists(_.contains("beef")))
   }
+
+  test("null, empty and 10k-character phrases yield exactly one row per line") {
+    val long = ("1 cup flour , " * 800).take(10000)
+    val hostile = Seq[(Long, Int, String, Int)](
+      (1L, 1, null, 4),
+      (1L, 2, "", 4),
+      (1L, 3, long, 4),
+      (1L, 4, "1 tablespoon butter", 4),
+    ).toDF("recipeId", "lineNo", "phrase", "servings")
+    val out = NutritionEstimator.perLine(hostile, TestModels.ner, foods, weights).collect()
+    assert(out.map(_.getAs[Int]("lineNo")).sorted.toSeq == Seq(1, 2, 3, 4))
+    out.filter(_.getAs[Int]("lineNo") <= 2).foreach { r =>
+      assert(r.getAs[String]("name") == "")
+      assert(!r.getAs[Boolean]("nameMapped"))
+    }
+  }
+
+  test("per-serving calories are null when servings is null or not positive") {
+    val lines = Seq[(Long, Option[Int])]((1L, Some(0)), (2L, Some(-2)), (3L, None), (4L, Some(4)))
+      .toDF("recipeId", "servings")
+      .withColumn("nameMapped", lit(true))
+      .withColumn("fullyMapped", lit(true))
+      .withColumn("estKcal", lit(100.0))
+      .withColumn("estProtein", lit(1.0))
+      .withColumn("estFat", lit(1.0))
+      .withColumn("estCarb", lit(1.0))
+    val perServing = NutritionEstimator.perRecipe(lines).collect()
+      .map(r => r.getAs[Long]("recipeId") -> Option(r.getAs[java.lang.Double]("estKcalPerServing")))
+      .toMap
+    assert(perServing == Map(1L -> None, 2L -> None, 3L -> None, 4L -> Some(25.0)))
+  }
 }

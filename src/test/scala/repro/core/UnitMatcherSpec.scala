@@ -94,9 +94,9 @@ class UnitMatcherSpec extends SparkSpec {
       ("butter", "2", "tbsp", "", 1L))
     val rs = UnitMatcher.resolve(df, weights).collect()
     val big = rs.find(_.getAs[Double]("qty") == 500.0).get
+    // The fallback retry applies no 5 kg check, so the line keeps 7.1 kg.
     assert(big.getAs[String]("resolvedUnit") == "tablespoon") // mode fallback
-    assert(math.abs(big.getAs[Double]("grams") - 500 * 14.2) < 1e-6 ||
-           big.getAs[Double]("grams") <= UnitMatcher.MaxGramsPerLine * 2)
+    assert(big.getAs[Double]("grams") == 500 * 14.2)
   }
 
   test("missing unit falls back to the ingredient's most frequent unit") {
@@ -132,18 +132,41 @@ class UnitMatcherSpec extends SparkSpec {
     assert(r.getAs[Double]("grams") == 14.2)
   }
 
+  /** Every USDA weight row as (ndbId, seq, stdUnit, grams per unit). */
+  private lazy val stdRows = UsdaData.allWeights
+    .map(w => (w.ndbId, w.seq, UnitTables.standardize(w.unit), w.grams / w.amount))
+    .filter(_._3.nonEmpty)
+
+  // The standardized weights now live in the gram-weight index's `listed` map.
   test("standardizedWeights dedups by (ndbId, stdUnit) keeping lowest seq") {
-    val std = UnitMatcher.standardizedWeights(weights)
-    val dups = std.groupBy("ndbId", "stdUnit").count().filter($"count" > 1).count()
-    assert(dups == 0)
+    val listed = UnitMatcher.GramWeights.of(weights).listed
+    val byKey = stdRows.groupBy(r => (r._1, r._3))
+    assert(byKey.exists(_._2.length > 1)) // the table does repeat some units
+    assert(listed.size == byKey.size)     // no duplicate (ndbId, stdUnit)
+    byKey.foreach { case (key, rs) => assert(listed(key) == rs.minBy(_._2)._4, key) }
   }
 
-  test("firstVolumetric picks each food's first listed volume measure") {
-    val fv = UnitMatcher.firstVolumetric(UnitMatcher.standardizedWeights(weights))
-    val butter = fv.filter($"ndbId" === 1L).collect().head
-    assert(butter.getAs[String]("volUnit") == "tablespoon") // seq 2, before cup
-    assert(butter.getAs[Double]("volGpa") == 14.2)
-    assert(fv.groupBy("ndbId").count().filter($"count" > 1).count() == 0)
+  test("gram-weight index holds each food's first listed volume measure") {
+    val fv = UnitMatcher.GramWeights.of(weights).firstVolumetric
+    assert(fv(1L) == ("tablespoon", 14.2)) // butter: seq 2, before cup
+    val firsts = stdRows.filter(r => UnitTables.isVolumetric(r._3)).groupBy(_._1)
+      .map { case (id, rs) => val f = rs.minBy(_._2); id -> (f._3, f._4) }
+    assert(fv == firsts)
+  }
+
+  test("gramsPerUnit tries mass unit, then listed unit, then volume conversion") {
+    val gw = UnitMatcher.GramWeights(
+      listed = Map((1L, "cup") -> 227.0, (1L, "ounce") -> 99.0),
+      firstVolumetric = Map(1L -> ("cup", 227.0)))
+    assert(gw.gramsPerUnit(Some(1L), "ounce").contains(28.3495)) // mass beats the listed row
+    assert(gw.gramsPerUnit(Some(1L), "cup").contains(227.0))
+    assert(gw.gramsPerUnit(Some(1L), "teaspoon")
+      .contains(227.0 * (UnitTables.volumeMl("teaspoon") / UnitTables.volumeMl("cup"))))
+    assert(gw.gramsPerUnit(None, "gram").contains(1.0))
+    assert(gw.gramsPerUnit(None, "cup").isEmpty)
+    assert(gw.gramsPerUnit(Some(1L), "clove").isEmpty)
+    assert(gw.gramsPerUnit(Some(1L), "").isEmpty)
+    assert(gw.gramsPerUnit(Some(1L), null).isEmpty)
   }
 
   test("unmatched food (null ndbId) with a mass unit still resolves") {
