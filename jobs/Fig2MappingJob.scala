@@ -7,7 +7,7 @@ import repro.exp.Experiments
   */
 object Fig2MappingJob {
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("fig2-mapping")
+    val spark = Experiments.session("fig2-mapping")
     val sf    = Jobs.sfArg(args)
     val (model, _, _) = Experiments.trainNer(spark)
     val perRecipe = Experiments.estimateCorpus(spark, sf, model)

@@ -1,17 +1,7 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
-/** Shared bootstrap for the spark-submit entrypoints. */
+/** Shared argument parsing for the spark-submit entrypoints. */
 object Jobs {
-  def session(app: String): SparkSession =
-    SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(app)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-
   /** First CLI arg as scale factor, defaulting to 0.1 (bench scale). */
   def sfArg(args: Array[String], default: Double = 0.1): Double =
     args.headOption.map(_.toDouble).getOrElse(default)

@@ -7,7 +7,7 @@ import repro.exp.Experiments
   */
 object Table1NerJob {
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("table1-ner")
+    val spark = Experiments.session("table1-ner")
     val n     = args.headOption.map(_.toInt).getOrElse(8800)
     val (model, f1, _) = Experiments.trainNer(spark, n)
     println(s"NER model trained on ~$n phrases; held-out F1 = ${"%.4f".format(f1)}")

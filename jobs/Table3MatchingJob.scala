@@ -7,7 +7,7 @@ import repro.exp.Experiments
   */
 object Table3MatchingJob {
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("table3-matching")
+    val spark = Experiments.session("table3-matching")
     println("TABLE III — MODIFIED vs VANILLA JACCARD MATCHES")
     println(Experiments.render(Experiments.table3(spark)))
     spark.stop()

@@ -6,18 +6,20 @@ import org.apache.spark.sql.functions._
 import repro.nlp.NerModel
 
 /** End-to-end nutritional profile estimation (Figure 1's system
-  * architecture): NER extraction → closest-description annotation over the
-  * *unique* ingredients → unit matching → per-line nutrient calculation →
-  * per-recipe aggregation.
+  * architecture): NER extraction → closest-description annotation → unit
+  * matching → per-line nutrient calculation → per-recipe aggregation.
   *
-  * Matching runs on distinct (name, state, temp, df) tuples — the paper's
-  * unit of account ("94.49% of the unique ingredients") — and the result is
-  * joined back onto the full corpus, so the expensive token join scales with
-  * vocabulary, not corpus size. The two reference-sized sides joined onto
-  * the lines (the matched keys and the USDA foods) carry explicit
-  * `broadcast` hints, so the full corpus is never shuffled for them.
+  * Matching scores each line's (name, state, temp, df) against an index of
+  * the USDA descriptions built on the driver ([[JaccardMatcher.FoodIndex]])
+  * inside a UDF, so it needs no shuffle and no join back onto the lines. The
+  * one reference-sized table joined onto the lines, the USDA foods, carries
+  * an explicit `broadcast` hint, so the full corpus is never shuffled for it.
   */
 object NutritionEstimator {
+
+  /** Estimated nutrients: output column suffix → foods column per 100 g. */
+  private val Nutrients = Seq("Kcal" -> "kcal100g", "Protein" -> "protein100g",
+                              "Fat" -> "fat100g", "Carb" -> "carb100g")
 
   /** Structured per-line estimate.
     *
@@ -32,29 +34,20 @@ object NutritionEstimator {
               foods: DataFrame, weights: DataFrame): DataFrame = {
     val annotated = NerPipeline.annotate(model, lines).cache()
 
-    val uniqueIngredients = annotated
-      .select("name", "state", "temp", "df")
-      .distinct()
-      .withColumn("ingId", xxhash64(col("name"), col("state"), col("temp"), col("df")))
-
-    val matched = JaccardMatcher
-      .matchBest(uniqueIngredients, foods.select("ndbId", "description"), JaccardMatcher.Modified)
-      .select(col("ingId"), col("ndbId"), col("score"))
-
+    val bestMatch = JaccardMatcher.bestUdf(foods, JaccardMatcher.Modified)
     val withFood = annotated
-      .withColumn("ingId", xxhash64(col("name"), col("state"), col("temp"), col("df")))
-      .join(broadcast(matched), Seq("ingId"), "left")
+      .withColumn("best", bestMatch(col("name"), col("state"), col("temp"), col("df")))
+      .select(col("*"), col("best.ndbId"), col("best.score")).drop("best")
 
     val resolved = UnitMatcher.resolve(withFood, weights)
 
-    resolved
-      .join(broadcast(foods.select(col("ndbId"), col("description"), col("kcal100g"),
-                                   col("protein100g"), col("fat100g"), col("carb100g"))),
-            Seq("ndbId"), "left")
-      .withColumn("estKcal",    col("grams") * col("kcal100g") / 100.0)
-      .withColumn("estProtein", col("grams") * col("protein100g") / 100.0)
-      .withColumn("estFat",     col("grams") * col("fat100g") / 100.0)
-      .withColumn("estCarb",    col("grams") * col("carb100g") / 100.0)
+    val withFoods = resolved.join(
+      broadcast(foods.select(col("ndbId") +: col("description") +: Nutrients.map(n => col(n._2)): _*)),
+      Seq("ndbId"), "left")
+    Nutrients
+      .foldLeft(withFoods) { case (df, (name, per100g)) =>
+        df.withColumn(s"est$name", col("grams") * col(per100g) / 100.0)
+      }
       .withColumn("nameMapped", col("ndbId").isNotNull)
       .withColumn("fullyMapped", col("ndbId").isNotNull && col("unitResolved"))
   }
@@ -71,12 +64,9 @@ object NutritionEstimator {
       .groupBy(col("recipeId"), col("servings"))
       .agg(
         count(lit(1)).as("nLines"),
-        sum(when(col("nameMapped"), 1).otherwise(0)).as("nNameMapped"),
-        sum(when(col("fullyMapped"), 1).otherwise(0)).as("nFullyMapped"),
-        sum(coalesce(col("estKcal"), lit(0.0))).as("estKcal"),
-        sum(coalesce(col("estProtein"), lit(0.0))).as("estProtein"),
-        sum(coalesce(col("estFat"), lit(0.0))).as("estFat"),
-        sum(coalesce(col("estCarb"), lit(0.0))).as("estCarb"),
+        sum(when(col("nameMapped"), 1).otherwise(0)).as("nNameMapped") +:
+        sum(when(col("fullyMapped"), 1).otherwise(0)).as("nFullyMapped") +:
+        Nutrients.map { case (name, _) => sum(coalesce(col(s"est$name"), lit(0.0))).as(s"est$name") }: _*
       )
       .withColumn("pctNameMapped",  col("nNameMapped") * 100.0 / col("nLines"))
       .withColumn("pctFullyMapped", col("nFullyMapped") * 100.0 / col("nLines"))

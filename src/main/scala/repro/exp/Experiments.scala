@@ -83,19 +83,13 @@ object Experiments {
     */
   def table3(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    val ings = TableIIIRows.zipWithIndex.map { case ((n, s, _, _), i) =>
-      (i.toLong, n, s, "", "")
-    }.toDF("ingId", "name", "state", "temp", "df")
-    val ref = UsdaData.foods(spark).select("ndbId", "description")
-    def bestDescs(metric: JaccardMatcher.Metric) =
-      JaccardMatcher.matchBestWithDescription(ings, ref, metric)
-        .select("ingId", "description").collect()
-        .map(r => r.getLong(0) -> r.getString(1)).toMap
-    val mod = bestDescs(JaccardMatcher.Modified)
-    val van = bestDescs(JaccardMatcher.Vanilla)
-    TableIIIRows.zipWithIndex.map { case ((n, s, paperMod, paperVan), i) =>
-      (n, s, mod.getOrElse(i.toLong, "(unmapped)"), paperMod,
-       van.getOrElse(i.toLong, "(unmapped)"), paperVan)
+    val index = JaccardMatcher.FoodIndex.of(UsdaData.foods(spark))
+    val descs = UsdaData.allFoods.map(f => f.ndbId -> f.description).toMap
+    def bestDesc(name: String, state: String, metric: JaccardMatcher.Metric) =
+      index.best(name, state, "", "", metric).fold("(unmapped)")(c => descs(c.ndbId))
+    TableIIIRows.map { case (n, s, paperMod, paperVan) =>
+      (n, s, bestDesc(n, s, JaccardMatcher.Modified), paperMod,
+       bestDesc(n, s, JaccardMatcher.Vanilla), paperVan)
     }.toDF("name", "state", "modifiedJI", "paperModifiedJI", "vanillaJI", "paperVanillaJI")
   }
 
@@ -136,6 +130,7 @@ object Experiments {
 
   /** The §III result scalars, computed over a corpus at scale factor `sf`. */
   final case class Results(
+      sf: Double,
       nerHoldoutF1: Double,
       nerCvF1s: Seq[Double],
       nUniqueIngredients: Long,
@@ -148,7 +143,22 @@ object Experiments {
       nRecipes: Long,
       nFullyMappedRecipes: Long,
       maePerServingKcal: Double,
-      meanGoldKcalPerServing: Double)
+      meanGoldKcalPerServing: Double) {
+
+    /** The scalars side by side with the paper's values, one per line. */
+    def report: String = Seq(
+      s"RESULTS (§III) at SF=$sf — paper value in [brackets]",
+      f"NER held-out F1:            $nerHoldoutF1%.4f  [0.95]",
+      f"NER 5-fold CV mean F1:      ${nerCvF1s.sum / nerCvF1s.size}%.4f  [0.95]  folds=${nerCvF1s.map(f => f"$f%.3f").mkString(",")}",
+      f"Unique ingredients:         $nUniqueIngredients",
+      f"Unique-ingredient match:    $uniqueMatchRatePct%.2f%%  [94.49%%]",
+      f"Modified≠vanilla matches:   $divergenceSampled/$divergenceSampleSize  [227/1000]",
+      f"Match accuracy (top-5000):  $accuracyTopKPct%.1f%% ($accuracyTopKCorrect/$accuracyTopK)  [71.6%% (3580/5000)]",
+      f"Recipes / fully mapped:     $nRecipes / $nFullyMappedRecipes  [118071 / 2482 evaluated]",
+      f"Per-serving calorie MAE:    $maePerServingKcal%.2f kcal  [36.42]",
+      f"Mean gold kcal/serving:     $meanGoldKcalPerServing%.1f",
+    ).mkString("\n")
+  }
 
   def results(spark: SparkSession, sf: Double, nerPhrases: Int = 8800,
               cvFolds: Int = 5, seed: Long = 7): Results = {
@@ -173,18 +183,15 @@ object Experiments {
 
     // --- modified vs vanilla divergence (paper: 227 / 1000) ---------------
     val sample = unique
-      .withColumn("ingId", xxhash64($"name", $"state", $"temp", $"df"))
       .orderBy(xxhash64($"name", $"state", $"temp", $"df", lit(seed)))
-      .limit(1000).cache()
-    val ref = foods.select("ndbId", "description")
-    val modMatch = JaccardMatcher.matchBest(sample, ref, JaccardMatcher.Modified)
-      .select($"ingId", $"ndbId".as("modNdb"))
-    val vanMatch = JaccardMatcher.matchBest(sample, ref, JaccardMatcher.Vanilla)
-      .select($"ingId", $"ndbId".as("vanNdb"))
-    val joinedMatches = modMatch.join(vanMatch, Seq("ingId"), "outer").cache()
-    val divergent = joinedMatches.filter(
-      coalesce($"modNdb", lit(-999L)) =!= coalesce($"vanNdb", lit(-999L))).count()
-    val sampleSize = sample.count()
+      .limit(1000).collect()
+    val index = JaccardMatcher.FoodIndex.of(foods)
+    val divergent = sample.count { r =>
+      def best(metric: JaccardMatcher.Metric) =
+        index.best(r.getString(0), r.getString(1), r.getString(2), r.getString(3), metric).map(_.ndbId)
+      best(JaccardMatcher.Modified) != best(JaccardMatcher.Vanilla)
+    }.toLong
+    val sampleSize = sample.length.toLong
 
     // --- match accuracy on the most frequent ingredients (paper: 71.6%) ---
     val truthJoined = perLine
@@ -215,6 +222,7 @@ object Experiments {
       avg($"goldKcalPerServing").as("meanGold")).collect().head
 
     Results(
+      sf = sf,
       nerHoldoutF1 = holdoutF1,
       nerCvF1s = cvF1s,
       nUniqueIngredients = nUnique,
@@ -240,6 +248,17 @@ object Experiments {
     NutritionEstimator.estimate(lines, model,
       UsdaData.foods(spark), UsdaData.weights(spark))
   }
+
+  /** The session of every job and test: `SPARK_MASTER`, `SPARK_SHUFFLE_PARTITIONS`
+    * (default 64), and broadcast joins only where a query asks for them.
+    */
+  def session(app: String): SparkSession =
+    SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(app)
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
 
   /** Render a DataFrame as a fixed-width text table (driver-side, small). */
   def render(df: DataFrame, n: Int = 50): String = {

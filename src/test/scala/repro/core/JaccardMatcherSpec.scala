@@ -20,8 +20,8 @@ class JaccardMatcherSpec extends SparkSpec {
 
   private def bestOf(name: String, state: String = "", temp: String = "", df: String = "",
                      metric: JaccardMatcher.Metric = JaccardMatcher.Modified): Option[String] = {
-    val m = JaccardMatcher.matchBestWithDescription(
-      ingredients((name, state, temp, df)), reference, metric)
+    val m = JaccardMatcher.matchBest(ingredients((name, state, temp, df)), reference, metric)
+      .join(reference, "ndbId")
     m.collect().headOption.map(_.getAs[String]("description"))
   }
 
